@@ -1,0 +1,33 @@
+package main
+
+import (
+	"fmt"
+	"syscall"
+)
+
+// filesystemOf names the filesystem holding dir, from its statfs magic.
+func filesystemOf(dir string) string {
+	var st syscall.Statfs_t
+	if err := syscall.Statfs(dir, &st); err != nil {
+		return "unknown"
+	}
+	switch uint64(st.Type) {
+	case 0xef53:
+		return "ext4"
+	case 0x01021994:
+		return "tmpfs"
+	case 0x794c7630:
+		return "overlayfs"
+	case 0x58465342:
+		return "xfs"
+	case 0x9123683e:
+		return "btrfs"
+	case 0x65735546:
+		return "fuse"
+	case 0x01021997:
+		return "9p"
+	case 0x6969:
+		return "nfs"
+	}
+	return fmt.Sprintf("statfs type %#x", uint64(st.Type))
+}
