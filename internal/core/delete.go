@@ -147,7 +147,7 @@ func (tr *Trie) deleteOnce(t *table, syms []byte, k []byte, path []pathNode) (in
 		if popcount33(remaining) == 1 {
 			s2 := byte(lowestSetBit(remaining))
 			hC := t.step(P.hash, s2)
-			C, cRef, ok := t.searchChildOfRegular(hC, s2, P.ref, P.ent.color)
+			C, cRef, ok := t.findChild(hC, byParent(s2, P.ent.color), P.ref)
 			if !ok {
 				return insRetry, path
 			}

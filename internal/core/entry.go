@@ -128,6 +128,69 @@ func bitmapHas(w uint64, sym byte) bool     { return w>>uint(sym)&1 != 0 }
 func bitmapSet(w uint64, sym byte) uint64   { return w | 1<<uint(sym) }
 func bitmapClear(w uint64, sym byte) uint64 { return w &^ (1 << uint(sym)) }
 
+// Word-0 matching. Every lookup in the table — a child under its parent, a
+// jump node's sole child, a locator target — is a pattern over word 0
+// alone, so a probe compares one atomic load per slot and decodes only the
+// entry that matches. Patterns leave out the tag and primary bit, which
+// depend on the bucket probed (see match.in).
+const (
+	w0Tag          = uint64(0xf) << 2
+	w0Primary      = uint64(1) << 6
+	w0LastSym      = uint64(0x3f) << 7
+	w0Color        = uint64(7) << 13
+	w0ParentColor  = uint64(7) << 16
+	w0ParentIsJump = uint64(1) << 32
+)
+
+// match selects the live entries whose word 0 equals want under mask.
+type match struct{ want, mask uint64 }
+
+// byParent is the paper's SearchByParent (§4.2): the child of a regular
+// node with color parentColor on symbol lastSym. Entries whose parent is a
+// jump node carry no meaningful parentColor and never match (parentIsJump
+// must be 0), which makes the match exact: among same-hash entries only the
+// true child of the verified parent matches, because a trie node has at most
+// one child per symbol.
+func byParent(lastSym byte, parentColor uint8) match {
+	return match{
+		want: uint64(lastSym&0x3f)<<7 | uint64(parentColor&7)<<16,
+		mask: w0LastSym | w0ParentColor | w0ParentIsJump,
+	}
+}
+
+// byColor is a jump node's child: it is identified by its own color (stored
+// in the jump node) rather than by parent color, because a jump node's hash
+// cannot be peeled from its child's (§4.3). Colors are unique among live
+// entries with the same hash, so the match is exact.
+func byColor(lastSym byte, color uint8) match {
+	return match{
+		want: uint64(lastSym&0x3f)<<7 | uint64(color&7)<<13,
+		mask: w0LastSym | w0Color,
+	}
+}
+
+// byLocator is the target of locator l (Figure 4): the entry with l's hash
+// and color.
+func byLocator(l locator) match {
+	return match{want: uint64(l.color&7) << 13, mask: w0Color}
+}
+
+// in specialises m to an entry with the given tag held in its primary
+// (primary=true) or alternate bucket.
+func (m match) in(tag uint8, primary bool) match {
+	m.want |= uint64(tag&0xf) << 2
+	if primary {
+		m.want |= w0Primary
+	}
+	m.mask |= w0Tag | w0Primary
+	return m
+}
+
+// matches reports whether a slot's word 0 holds a live entry matching m.
+func (m match) matches(w0 uint64) bool {
+	return w0&3 != kindEmpty && w0&m.mask == m.want
+}
+
 // locator identifies a node's entry independently of relocations: the full
 // key hash plus the entry's color (Figure 4).
 type locator struct {

@@ -85,6 +85,19 @@ func (hs *hasher) hashSyms(syms []byte, n int) uint64 {
 	return h
 }
 
+// ladder appends the hash ladder of syms to dst: H(syms[:i]) for i = 0 ..
+// len(syms). Every descent step reads its child's hash from the ladder, and
+// MultiGet computes each key's whole ladder before any probe resolves.
+func (hs *hasher) ladder(dst []uint64, syms []byte) []uint64 {
+	h := uint64(0)
+	dst = append(dst, h)
+	for _, s := range syms {
+		h = hs.step(h, s)
+		dst = append(dst, h)
+	}
+	return dst
+}
+
 // bucketsOf returns the two candidate buckets and the tag for hash h.
 // B1 = ⌊h/t⌋; B2 = (B1 + f(h mod t)) mod S (§4.2).
 func (hs *hasher) bucketsOf(h uint64) (b1, b2 uint64, tag uint8) {

@@ -507,7 +507,7 @@ func (tr *Trie) planJumpSplit(p *plan, path []pathNode, syms []byte, idx, off in
 	} else {
 		// J's original child becomes R's direct child: its parentColor
 		// becomes meaningful.
-		oc, ocRef, ok := p.t.childByColor(hOld, sOld, J.ent.childColor, J.ref)
+		oc, ocRef, ok := p.t.findChild(hOld, byColor(sOld, J.ent.childColor), J.ref)
 		if !ok {
 			return false
 		}

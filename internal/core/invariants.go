@@ -62,6 +62,26 @@ type checker struct {
 	locs   []locator
 }
 
+// find is the checker's reference lookup, independent of the word-0
+// matcher the trie itself uses: it decodes every slot of hash h's two
+// candidate buckets and returns the live entry with h's tag and primacy
+// that pred accepts.
+func (c *checker) find(h uint64, pred func(*entry) bool) (entry, slotRef, bool) {
+	b1, b2, tag := c.t.bucketsOf(h)
+	for _, bc := range [2]struct {
+		b       uint64
+		primary bool
+	}{{b1, true}, {b2, false}} {
+		for s := 0; s < entriesPerBucket; s++ {
+			e := c.t.loadEntry(bc.b, s)
+			if e.kind != kindEmpty && e.tag == tag && e.primary == bc.primary && pred(&e) {
+				return e, slotRef{bc.b, s}, true
+			}
+		}
+	}
+	return entry{}, slotRef{}, false
+}
+
 // walk recursively checks node e (hash h, name prefix of key being built).
 // Returns the subtree-max locator.
 func (c *checker) walk(e entry, ref entryRef, h uint64, name []byte) (locator, bool, error) {
@@ -86,7 +106,7 @@ func (c *checker) walk(e entry, ref entryRef, h uint64, name []byte) (locator, b
 			hc = c.t.step(hc, s)
 		}
 		last := e.jumpSymbol(int(e.jumpLen) - 1)
-		child, cref, ok := c.t.lockedFindChildByColor(hc, last, e.childColor)
+		child, cref, ok := c.find(hc, func(x *entry) bool { return x.lastSym == last && x.color == e.childColor })
 		if !ok {
 			return locator{}, false, fmt.Errorf("jump child missing (name %x)", name)
 		}
@@ -116,7 +136,9 @@ func (c *checker) walk(e entry, ref entryRef, h uint64, name []byte) (locator, b
 			}
 			nchild++
 			hc := c.t.step(h, byte(s))
-			child, cref, ok := c.t.lockedFindChildByParent(hc, byte(s), e.color)
+			child, cref, ok := c.find(hc, func(x *entry) bool {
+				return !x.parentIsJump && x.lastSym == byte(s) && x.parentColor == e.color
+			})
 			if !ok {
 				return locator{}, false, fmt.Errorf("child sym %d missing under %x", s, name)
 			}
@@ -167,7 +189,7 @@ func (c *checker) checkLeafList() error {
 	}
 	cur := minLoc
 	for i := 0; ; i++ {
-		e, _, ok := c.t.lockedFind(cur)
+		e, _, ok := c.find(cur.hash, func(x *entry) bool { return x.color == cur.color })
 		if !ok || e.kind != kindLeaf {
 			return fmt.Errorf("leaf list broken at %d", i)
 		}
@@ -201,8 +223,7 @@ func (c *checker) checkColors() error {
 	seen := map[hc]bool{}
 	for b := uint64(0); b < t.buckets; b++ {
 		for s := 0; s < entriesPerBucket; s++ {
-			base := b*bucketWords + 1 + uint64(s)*3
-			e := decodeEntry(t.words[base], t.words[base+1], t.words[base+2])
+			e := t.loadEntry(b, s)
 			if e.kind == kindEmpty {
 				continue
 			}

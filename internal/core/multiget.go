@@ -21,7 +21,8 @@ import (
 //  2. resolve: advance every key by one probe, which now mostly hits cache.
 //
 // Keys that hit a concurrency conflict (torn read, table resize) fall back
-// to the single-key Get, which carries its own retry loop.
+// to the single-key Get, which carries its own retry loop. Get is the same
+// state machine (lookup, advance) run for one key.
 
 // prefetch touches bucket b's first cache line so a subsequent probe of the
 // bucket is likely a cache hit. The atomic load cannot be elided by the
@@ -32,39 +33,99 @@ func (t *table) prefetch(b uint64) {
 
 // mgScratch is MultiGet's reusable per-batch working memory.
 type mgScratch struct {
-	states []mgState
-	syms   []byte
-	hashes []uint64
+	lookups []lookup
+	syms    []byte
+	hashes  []uint64
 }
 
 var mgScratchPool = sync.Pool{New: func() any { return new(mgScratch) }}
 
-// mgState tracks one key's in-flight descent.
-type mgState struct {
+// lookup is one key's in-flight descent: the state machine that Get runs
+// for one key and MultiGet runs for a batch, one descend step at a time.
+type lookup struct {
 	syms   []byte
 	hashes []uint64 // hashes[i] = H(syms[:i]) under the current table
 	cur    pathNode
-	i      int // next symbol index to consume
+	val    uint64
+	found  bool
 	done   bool
-	retry  bool // resolve via single-key Get at the end
+	retry  bool // conflict: restart on a fresh table
 }
 
 // nextProbeHash returns the hash of the next child this key will fetch: for
 // a regular node that is the next symbol's extension; for a jump node it is
 // the hash at the jump's end, since the intermediate symbols are compared
 // in-entry without probing.
-func (st *mgState) nextProbeHash() (uint64, bool) {
-	switch st.cur.ent.kind {
+func (lk *lookup) nextProbeHash() (uint64, bool) {
+	switch lk.cur.ent.kind {
 	case kindInternal:
-		if st.i+1 < len(st.hashes) {
-			return st.hashes[st.i+1], true
+		if end := lk.cur.depth + 1; end < len(lk.hashes) {
+			return lk.hashes[end], true
 		}
 	case kindJump:
-		if end := st.cur.depth + int(st.cur.ent.jumpLen); end < len(st.hashes) {
-			return st.hashes[end], true
+		if end := lk.cur.depth + int(lk.cur.ent.jumpLen); end < len(lk.hashes) {
+			return lk.hashes[end], true
 		}
 	}
 	return 0, false
+}
+
+// advance runs one descend step of lk and, at a leaf, the paper's final
+// check against the full key stored in the record (§4.4).
+func (tr *Trie) advance(t *table, lk *lookup, k []byte) {
+	switch _, outcome := t.descend(&lk.cur, lk.syms, lk.hashes); outcome {
+	case soAdvanced: // lk.cur is the child; the next round probes below it
+	case soMissing, soJumpMismatch:
+		lk.done = true
+	case soLeaf:
+		leaf := &lk.cur
+		if leaf.ent.dirty {
+			lk.retry = true
+			return
+		}
+		match := bytes.Equal(tr.recs.key(leaf.ent.recIdx), k)
+		val := tr.recs.value(leaf.ent.recIdx)
+		// Re-validate the leaf: if it was deleted meanwhile, its record
+		// slot may have been reused and the read above is stale.
+		if t.loadVersion(leaf.ref.bucket) != leaf.ref.ver {
+			lk.retry = true
+			return
+		}
+		if match {
+			lk.val, lk.found = val, true
+		}
+		lk.done = true
+	default:
+		lk.retry = true
+	}
+}
+
+// Get looks up key k and returns its value. This is the paper's lookup: a
+// trie search (not a plain hash lookup, because the trie stores unique
+// prefixes) followed by a comparison against the full key stored in the
+// record (§4.4). It is a one-key run of MultiGet's state machine, with the
+// symbols and the hash ladder on the stack.
+func (tr *Trie) Get(k []byte) (uint64, bool) {
+	if len(k) > MaxKeyLen {
+		return 0, false
+	}
+	var sbuf [96]byte
+	var hbuf [97]uint64
+	syms := keys.AppendSymbols(sbuf[:0], k)
+	for {
+		t := tr.tbl.Load()
+		root, rootRef, ok := tr.tryFindRoot(t)
+		if !ok {
+			continue
+		}
+		lk := lookup{syms: syms, hashes: t.ladder(hbuf[:0], syms), cur: pathNode{ent: root, ref: rootRef}}
+		for !lk.done && !lk.retry {
+			tr.advance(t, &lk, k)
+		}
+		if lk.done {
+			return lk.val, lk.found
+		}
+	}
 }
 
 // MultiGet looks up a batch of keys, overlapping the independent probes of
@@ -82,7 +143,7 @@ func (tr *Trie) MultiGet(ks [][]byte, vals []uint64, found []bool) {
 	root, rootRef, rok := tr.tryFindRoot(t)
 
 	// Flat per-batch scratch, pooled so the steady-state batch path is
-	// allocation-free: the states, the symbol expansions, and the hash
+	// allocation-free: the lookups, the symbol expansions, and the hash
 	// ladders live in three buffers sliced per key.
 	totalSyms := 0
 	for j := 0; j < n; j++ {
@@ -92,8 +153,8 @@ func (tr *Trie) MultiGet(ks [][]byte, vals []uint64, found []bool) {
 	}
 	sc := mgScratchPool.Get().(*mgScratch)
 	defer mgScratchPool.Put(sc)
-	if cap(sc.states) < n {
-		sc.states = make([]mgState, n)
+	if cap(sc.lookups) < n {
+		sc.lookups = make([]lookup, n)
 	}
 	if cap(sc.syms) < totalSyms {
 		sc.syms = make([]byte, 0, totalSyms)
@@ -101,49 +162,41 @@ func (tr *Trie) MultiGet(ks [][]byte, vals []uint64, found []bool) {
 	if cap(sc.hashes) < totalSyms+n {
 		sc.hashes = make([]uint64, 0, totalSyms+n)
 	}
-	states := sc.states[:n]
-	for j := range states {
-		states[j] = mgState{} // pooled memory: clear stale done/retry flags
-	}
+	lookups := sc.lookups[:n]
 	symBuf := sc.syms[:0]
 	hashBuf := sc.hashes[:0]
 
 	active := 0
 	for j := 0; j < n; j++ {
-		st := &states[j]
+		lk := &lookups[j]
+		*lk = lookup{} // pooled memory: clear stale results and flags
 		if len(ks[j]) > MaxKeyLen {
-			vals[j], found[j] = 0, false
-			st.done = true
+			lk.done = true
 			continue
 		}
 		if !rok {
-			st.retry = true
+			lk.retry = true
 			continue
 		}
 		// Stage phase: symbols and the whole hash ladder, computed before any
 		// probe resolves, so every level's bucket addresses are known up front.
 		lo := len(symBuf)
 		symBuf = keys.AppendSymbols(symBuf, ks[j])
-		st.syms = symBuf[lo:len(symBuf):len(symBuf)]
+		lk.syms = symBuf[lo:len(symBuf):len(symBuf)]
 		hlo := len(hashBuf)
-		hashBuf = append(hashBuf, 0)
-		h := uint64(0)
-		for _, s := range st.syms {
-			h = t.step(h, s)
-			hashBuf = append(hashBuf, h)
-		}
-		st.hashes = hashBuf[hlo:len(hashBuf):len(hashBuf)]
-		st.cur = pathNode{ent: root, ref: rootRef, depth: 0, hash: 0}
+		hashBuf = t.ladder(hashBuf, lk.syms)
+		lk.hashes = hashBuf[hlo:len(hashBuf):len(hashBuf)]
+		lk.cur = pathNode{ent: root, ref: rootRef}
 		active++
 	}
 
 	touch := func() {
-		for j := range states {
-			st := &states[j]
-			if st.done || st.retry {
+		for j := range lookups {
+			lk := &lookups[j]
+			if lk.done || lk.retry {
 				continue
 			}
-			if h, ok := st.nextProbeHash(); ok {
+			if h, ok := lk.nextProbeHash(); ok {
 				b1, b2, _ := t.bucketsOf(h)
 				t.prefetch(b1)
 				t.prefetch(b2)
@@ -153,13 +206,13 @@ func (tr *Trie) MultiGet(ks [][]byte, vals []uint64, found []bool) {
 
 	touch()
 	for active > 0 {
-		for j := range states {
-			st := &states[j]
-			if st.done || st.retry {
+		for j := range lookups {
+			lk := &lookups[j]
+			if lk.done || lk.retry {
 				continue
 			}
-			tr.mgAdvance(t, st, ks[j], vals, found, j)
-			if st.done || st.retry {
+			tr.advance(t, lk, ks[j])
+			if lk.done || lk.retry {
 				active--
 			}
 		}
@@ -168,75 +221,12 @@ func (tr *Trie) MultiGet(ks [][]byte, vals []uint64, found []bool) {
 		}
 	}
 
-	for j := range states {
-		if states[j].retry {
+	for j := range lookups {
+		if lookups[j].retry {
 			vals[j], found[j] = tr.Get(ks[j])
+		} else {
+			vals[j], found[j] = lookups[j].val, lookups[j].found
 		}
-	}
-}
-
-// mgAdvance performs one probe step of key j's descent: it consumes in-entry
-// jump symbols without memory accesses, then fetches exactly one child (or
-// reaches a terminal miss/leaf). Conflicts mark the key for single-Get retry.
-func (tr *Trie) mgAdvance(t *table, st *mgState, k []byte, vals []uint64, found []bool, j int) {
-	cur := &st.cur
-	for {
-		if st.i >= len(st.syms) {
-			// The terminator cannot have children: torn read, retry.
-			st.retry = true
-			return
-		}
-		s := st.syms[st.i]
-		switch cur.ent.kind {
-		case kindInternal:
-			if !bitmapHas(cur.ent.w1, s) {
-				vals[j], found[j] = 0, false
-				st.done = true
-				return
-			}
-		case kindJump:
-			off := st.i - cur.depth
-			if cur.ent.jumpSymbol(off) != s {
-				vals[j], found[j] = 0, false
-				st.done = true
-				return
-			}
-			if off+1 < int(cur.ent.jumpLen) {
-				st.i++
-				continue
-			}
-		default:
-			st.retry = true
-			return
-		}
-		h := st.hashes[st.i+1]
-		child, ref, ok := t.findChild(cur, h, s, cur.ent.kind == kindJump)
-		if !ok {
-			st.retry = true
-			return
-		}
-		st.cur = pathNode{ent: child, ref: ref, depth: st.i + 1, hash: h}
-		st.i++
-		if child.kind == kindLeaf {
-			if child.dirty {
-				st.retry = true
-				return
-			}
-			rk := tr.recs.key(child.recIdx)
-			match := bytes.Equal(rk, k)
-			val := tr.recs.value(child.recIdx)
-			if t.loadVersion(ref.bucket) != ref.ver {
-				st.retry = true
-				return
-			}
-			if match {
-				vals[j], found[j] = val, true
-			} else {
-				vals[j], found[j] = 0, false
-			}
-			st.done = true
-		}
-		return
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -55,6 +56,15 @@ func TestMultiGetVariableKeys(t *testing.T) {
 		}
 		stored = append(stored, k)
 	}
+	// A family under one long stem: its shared path is a chain of jump
+	// nodes, which the derived misses below diverge inside of.
+	stem := make([]byte, 16)
+	rng.Read(stem)
+	for i := 0; i < 16; i++ {
+		k := append(append([]byte(nil), stem...), byte(i*16))
+		mustSet(t, tr, k, uint64(len(stored)))
+		stored = append(stored, k)
+	}
 	batch := make([][]byte, 128)
 	for j := range batch {
 		if j%4 == 0 {
@@ -65,6 +75,10 @@ func TestMultiGetVariableKeys(t *testing.T) {
 			batch[j] = stored[rng.Intn(len(stored))]
 		}
 	}
+	misses := missesByOutcome(t, tr, stored, rng)
+	for _, m := range misses {
+		batch = append(batch, m...)
+	}
 	vals := make([]uint64, len(batch))
 	found := make([]bool, len(batch))
 	tr.MultiGet(batch, vals, found)
@@ -74,6 +88,99 @@ func TestMultiGetVariableKeys(t *testing.T) {
 			t.Fatalf("MultiGet[%d] (len %d) = %d,%v; Get = %d,%v",
 				j, len(k), vals[j], found[j], wv, wok)
 		}
+		if j >= 128 && wok {
+			t.Fatalf("miss key %x found", k)
+		}
+	}
+}
+
+// missesByOutcome derives absent keys from stored ones (extended,
+// truncated, last or middle byte flipped) and sorts them by where their descent ends:
+// a regular node without the next symbol's bit, a jump node whose stored
+// symbol differs, or a leaf whose stored key differs under a shared prefix.
+// It fails the test unless every outcome has at least one key.
+func missesByOutcome(t *testing.T, tr *Trie, stored [][]byte, rng *rand.Rand) map[string][][]byte {
+	t.Helper()
+	present := map[string]bool{}
+	for _, k := range stored {
+		present[string(k)] = true
+	}
+	out := map[string][][]byte{}
+	tbl := tr.tbl.Load()
+	for _, k := range stored {
+		cands := [][]byte{
+			append(append([]byte(nil), k...), byte(rng.Intn(256))),
+			append([]byte(nil), k[:len(k)-1]...),
+			append(append([]byte(nil), k[:len(k)-1]...), k[len(k)-1]^1),
+			append(append(append([]byte(nil), k[:len(k)/2]...), k[len(k)/2]^0x10), k[len(k)/2+1:]...),
+		}
+		for _, c := range cands {
+			if present[string(c)] {
+				continue
+			}
+			path, st := tr.searchPath(tbl, keys.AppendSymbols(nil, c), nil)
+			var kind string
+			switch st.outcome {
+			case soMissing:
+				kind = "bitmap miss"
+			case soJumpMismatch:
+				kind = "jump mismatch"
+			case soLeaf:
+				if bytes.Equal(tr.recs.key(path[len(path)-1].ent.recIdx), c) {
+					t.Fatalf("absent key %x reached its own leaf", c)
+				}
+				kind = "leaf key mismatch"
+			default:
+				t.Fatalf("key %x: outcome %d on a quiescent trie", c, st.outcome)
+			}
+			if len(out[kind]) < 8 {
+				out[kind] = append(out[kind], c)
+			}
+		}
+	}
+	for _, kind := range []string{"bitmap miss", "jump mismatch", "leaf key mismatch"} {
+		if len(out[kind]) == 0 {
+			t.Fatalf("no derived key ends at a %s", kind)
+		}
+	}
+	return out
+}
+
+// TestHotPathAllocFree pins the lookup hot path at zero allocations: Get on
+// an 8-byte hit and on a miss, and a steady-state 64-key MultiGet (its
+// scratch is pooled, so only the first batch allocates).
+func TestHotPathAllocFree(t *testing.T) {
+	tr := New(Config{CapacityHint: 1 << 14})
+	const n = 10000
+	for i := 0; i < n; i++ {
+		mustSet(t, tr, keys.Uint64Key(uint64(i)*2), uint64(i))
+	}
+	hit, miss := keys.Uint64Key(4242), keys.Uint64Key(4243)
+	if a := testing.AllocsPerRun(100, func() {
+		if _, ok := tr.Get(hit); !ok {
+			t.Fatal("hit not found")
+		}
+	}); a != 0 {
+		t.Errorf("Get hit: %v allocs/op", a)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if _, ok := tr.Get(miss); ok {
+			t.Fatal("miss found")
+		}
+	}); a != 0 {
+		t.Errorf("Get miss: %v allocs/op", a)
+	}
+	if raceDetectorEnabled {
+		return // the batch scratch is pooled, and -race drops pool Puts
+	}
+	batch := make([][]byte, 64)
+	for j := range batch {
+		batch[j] = keys.Uint64Key(uint64(j) * 97)
+	}
+	vals := make([]uint64, len(batch))
+	found := make([]bool, len(batch))
+	if a := testing.AllocsPerRun(100, func() { tr.MultiGet(batch, vals, found) }); a != 0 {
+		t.Errorf("MultiGet(64): %v allocs/op", a)
 	}
 }
 

@@ -46,7 +46,7 @@ func (t *table) predViaAncestors(nodes []pathNode, syms []byte, vset *[]entryRef
 			continue
 		}
 		hs := t.step(n.hash, byte(sib))
-		child, ref, cok := t.searchChildOfRegular(hs, byte(sib), n.ref, n.ent.color)
+		child, ref, cok := t.findChild(hs, byParent(byte(sib), n.ent.color), n.ref)
 		if !cok {
 			return predLeaf{}, false, false
 		}

@@ -40,6 +40,50 @@ func TestEntryEncodeRoundTrip(t *testing.T) {
 	}
 }
 
+// Property: the word-0 patterns the table matches with — by parent, by
+// color and by locator, specialised to a bucket's tag and primacy — accept
+// an encoded entry exactly when its decoded fields match, including the
+// rule that a jump node's child (parentIsJump) never matches by parent.
+// Each probe field copies the entry's value three times in four, so full
+// matches and single-field near misses are both common.
+func TestEntryMatchPatterns(t *testing.T) {
+	f := func(kind, tag, lastSym, color, parentColor uint8, primary, parentIsJump bool,
+		w0Rest uint64, pick uint16, pTag, pSym, pColor uint8, pPrimary bool) bool {
+		e := decodeEntry(w0Rest, 0, 0) // random values in every other field
+		e.kind, e.tag, e.primary = kind&3, tag&0xf, primary
+		e.lastSym, e.color, e.parentColor = lastSym&0x3f, color&7, parentColor&7
+		e.parentIsJump = parentIsJump
+		w0, _, _ := e.encode()
+		keep := func(bit uint) bool { return pick>>(2*bit)&3 != 0 }
+		qTag, qPrimary, qSym, qColor := pTag&0xf, pPrimary, pSym&0x3f, pColor&7
+		if keep(0) {
+			qTag = e.tag
+		}
+		if keep(1) {
+			qPrimary = e.primary
+		}
+		if keep(2) {
+			qSym = e.lastSym
+		}
+		if keep(3) {
+			qColor = e.color
+			if pick>>14&1 != 0 {
+				qColor = e.parentColor
+			}
+		}
+		same := e.kind != kindEmpty && e.tag == qTag && e.primary == qPrimary
+		return byParent(qSym, qColor).in(qTag, qPrimary).matches(w0) ==
+			(same && !e.parentIsJump && e.lastSym == qSym && e.parentColor == qColor) &&
+			byColor(qSym, qColor).in(qTag, qPrimary).matches(w0) ==
+				(same && e.lastSym == qSym && e.color == qColor) &&
+			byLocator(locator{color: qColor}).in(qTag, qPrimary).matches(w0) ==
+				(same && e.color == qColor)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: the hash function is peelable — h(x) is recoverable from
 // (h(x·c), c) — which is what makes key elimination sound (§4.2). We verify
 // the existence claim directly: step is injective in h for each fixed c.

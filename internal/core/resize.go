@@ -16,6 +16,8 @@ import "errors"
 //
 // Within the unpublished new table, entries are addressed by locator (hash,
 // color), never by slot: evictions during the rebuild may relocate them.
+// Neither table has concurrent writers (the old one is locked, the new one
+// unpublished), so both are read with the version-free probeQuiesced.
 
 var errResizeRace = errors.New("cuckootrie: concurrent resize")
 
@@ -92,7 +94,7 @@ type rebuilder struct {
 }
 
 func (b *rebuilder) run() error {
-	rootOld, _, ok := b.src.lockedFind(locator{0, uint8(b.tr.rootColor.Load())})
+	rootOld, _, ok := b.src.probeQuiesced(0, byLocator(locator{0, uint8(b.tr.rootColor.Load())}))
 	if !ok {
 		return errResizeRace
 	}
@@ -124,7 +126,7 @@ func (b *rebuilder) copyChildren(old entry, oldHash, newHash uint64, newLoc loca
 			nh = b.dst.step(nh, s)
 		}
 		lastSym := old.jumpSymbol(int(old.jumpLen) - 1)
-		childOld, _, ok := b.src.lockedFindChildByColor(oh, lastSym, old.childColor)
+		childOld, _, ok := b.src.probeQuiesced(oh, byColor(lastSym, old.childColor))
 		if !ok {
 			return locator{}, false, errResizeRace
 		}
@@ -138,7 +140,7 @@ func (b *rebuilder) copyChildren(old entry, oldHash, newHash uint64, newLoc loca
 			}
 			oh := b.src.step(oldHash, byte(s))
 			ch := b.dst.step(newHash, byte(s))
-			childOld, _, ok := b.src.lockedFindChildByParent(oh, byte(s), old.color)
+			childOld, _, ok := b.src.probeQuiesced(oh, byParent(byte(s), old.color))
 			if !ok {
 				return locator{}, false, errResizeRace
 			}
@@ -205,7 +207,7 @@ func (b *rebuilder) insertEntry(h uint64, e entry) (uint8, error) {
 	scan := func(bk uint64, primary bool) int {
 		free := -1
 		for s := 0; s < entriesPerBucket; s++ {
-			ee := b.rawEntry(bk, s)
+			ee := t.loadEntry(bk, s)
 			if ee.kind == kindEmpty {
 				if free < 0 {
 					free = s
@@ -249,14 +251,8 @@ func (b *rebuilder) insertEntry(h uint64, e entry) (uint8, error) {
 	return b.insertEntry(h, e)
 }
 
-func (b *rebuilder) rawEntry(bk uint64, slot int) entry {
-	t := b.dst
-	base := bk*bucketWords + 1 + uint64(slot)*3
-	return decodeEntry(t.words[base], t.words[base+1], t.words[base+2])
-}
-
 func (b *rebuilder) patch(l locator, f func(*entry)) {
-	e, ref, ok := b.dst.lockedFind(l)
+	e, ref, ok := b.dst.probeQuiesced(l.hash, byLocator(l))
 	if !ok {
 		panic("cuckootrie: rebuild patch target missing")
 	}
@@ -282,59 +278,4 @@ func (b *rebuilder) patchNext(l locator, target locator) {
 
 func (b *rebuilder) patchChildColor(l locator, c uint8) {
 	b.patch(l, func(e *entry) { e.childColor = c })
-}
-
-// lockedFind* read a quiesced (or unpublished) table directly, without
-// seqlock choreography.
-func (t *table) lockedFind(l locator) (entry, slotRef, bool) {
-	b1, b2, tag := t.bucketsOf(l.hash)
-	for _, bc := range [2]struct {
-		b       uint64
-		primary bool
-	}{{b1, true}, {b2, false}} {
-		for s := 0; s < entriesPerBucket; s++ {
-			base := bc.b*bucketWords + 1 + uint64(s)*3
-			e := decodeEntry(t.words[base], t.words[base+1], t.words[base+2])
-			if e.kind != kindEmpty && e.tag == tag && e.primary == bc.primary && e.color == l.color {
-				return e, slotRef{bc.b, s}, true
-			}
-		}
-	}
-	return entry{}, slotRef{}, false
-}
-
-func (t *table) lockedFindChildByParent(h uint64, lastSym byte, parentColor uint8) (entry, slotRef, bool) {
-	b1, b2, tag := t.bucketsOf(h)
-	for _, bc := range [2]struct {
-		b       uint64
-		primary bool
-	}{{b1, true}, {b2, false}} {
-		for s := 0; s < entriesPerBucket; s++ {
-			base := bc.b*bucketWords + 1 + uint64(s)*3
-			e := decodeEntry(t.words[base], t.words[base+1], t.words[base+2])
-			if e.kind != kindEmpty && e.tag == tag && e.primary == bc.primary &&
-				!e.parentIsJump && e.lastSym == lastSym && e.parentColor == parentColor {
-				return e, slotRef{bc.b, s}, true
-			}
-		}
-	}
-	return entry{}, slotRef{}, false
-}
-
-func (t *table) lockedFindChildByColor(h uint64, lastSym byte, color uint8) (entry, slotRef, bool) {
-	b1, b2, tag := t.bucketsOf(h)
-	for _, bc := range [2]struct {
-		b       uint64
-		primary bool
-	}{{b1, true}, {b2, false}} {
-		for s := 0; s < entriesPerBucket; s++ {
-			base := bc.b*bucketWords + 1 + uint64(s)*3
-			e := decodeEntry(t.words[base], t.words[base+1], t.words[base+2])
-			if e.kind != kindEmpty && e.tag == tag && e.primary == bc.primary &&
-				e.lastSym == lastSym && e.color == color {
-				return e, slotRef{bc.b, s}, true
-			}
-		}
-	}
-	return entry{}, slotRef{}, false
 }

@@ -1,18 +1,12 @@
 package core
 
-import (
-	"bytes"
-	"sync/atomic"
-
-	"repro/internal/keys"
-)
-
-// Search outcomes.
+// Step outcomes.
 const (
-	soLeaf         = iota // descent reached a leaf
+	soLeaf         = iota // the step fetched a leaf
 	soMissing             // a regular node lacks the child bit for the next symbol
 	soJumpMismatch        // a jump node's compressed symbol differs from the key's
 	soRestart             // concurrent conflict; restart with a fresh table pointer
+	soAdvanced            // the step fetched an internal or jump node
 )
 
 // pathNode is one node on the root-to-terminal descent path.
@@ -25,6 +19,14 @@ type pathNode struct {
 
 func (p *pathNode) loc() locator { return locator{p.hash, p.ent.color} }
 
+// childMatch is the word-0 pattern of the node's child on symbol s.
+func (p *pathNode) childMatch(s byte) match {
+	if p.ent.kind == kindJump {
+		return byColor(s, p.ent.childColor)
+	}
+	return byParent(s, p.ent.color)
+}
+
 // searchState is the result of a path-recording descent.
 type searchState struct {
 	path    []pathNode
@@ -35,122 +37,71 @@ type searchState struct {
 
 func (st *searchState) terminal() *pathNode { return &st.path[len(st.path)-1] }
 
-// Raw word-0 matching masks: candidate filtering happens on a single atomic
-// load per slot, and only the matching entry is fully decoded. Field
-// positions are defined in entry.go.
-const (
-	matchMaskByParent = uint64(0xf)<<2 | 1<<6 | uint64(0x3f)<<7 | uint64(7)<<16 | 1<<32
-	matchMaskByColor  = uint64(0xf)<<2 | 1<<6 | uint64(0x3f)<<7 | uint64(7)<<13
-)
-
-func wantByParent(tag uint8, primary bool, lastSym byte, parentColor uint8) uint64 {
-	w := uint64(tag&0xf)<<2 | uint64(lastSym&0x3f)<<7 | uint64(parentColor&7)<<16
-	if primary {
-		w |= 1 << 6
-	}
-	return w
-}
-
-func wantByColor(tag uint8, primary bool, lastSym byte, color uint8) uint64 {
-	w := uint64(tag&0xf)<<2 | uint64(lastSym&0x3f)<<7 | uint64(color&7)<<13
-	if primary {
-		w |= 1 << 6
-	}
-	return w
-}
-
-// scanBucketRaw finds a live slot whose word 0 matches (want, mask) in
-// bucket b, snapshotting it under the seqlock. found=false with ok=true
-// means a consistent read found nothing.
-func (t *table) scanBucketRaw(b uint64, want, mask uint64) (e entry, ref entryRef, found, ok bool) {
-	base := b * bucketWords
-	v := atomic.LoadUint64(&t.words[base])
-	if v&1 != 0 {
-		return entry{}, entryRef{}, false, false
-	}
-	for i := 0; i < entriesPerBucket; i++ {
-		w0 := atomic.LoadUint64(&t.words[base+1+uint64(i)*3])
-		if w0&3 == kindEmpty || w0&mask != want {
-			continue
+// descend is the one trie step of Algorithm 1 (§4.4), shared by Get,
+// MultiGet, searchPath and LookupLevels. From node cur it consumes the
+// symbols of syms that cur's entry stores — one for a regular node, the
+// compressed run for a jump node — comparing them in-entry without memory
+// accesses, then fetches the child named by the last of them. hashes is the
+// key's ladder (hashes[i] = H(syms[:i]), see hasher.ladder).
+//
+// On soLeaf and soAdvanced, cur becomes the child and i is the index of the
+// symbol after its name; on soMissing and soJumpMismatch, cur is unchanged
+// and i is the index of the symbol that does not match.
+func (t *table) descend(cur *pathNode, syms []byte, hashes []uint64) (i, outcome int) {
+	i = cur.depth
+	switch cur.ent.kind {
+	case kindInternal:
+		// The terminator cannot have children, so running out of symbols
+		// means a torn read; restart.
+		if i >= len(syms) {
+			return i, soRestart
 		}
-		w1 := atomic.LoadUint64(&t.words[base+1+uint64(i)*3+1])
-		w2 := atomic.LoadUint64(&t.words[base+1+uint64(i)*3+2])
-		if atomic.LoadUint64(&t.words[base]) != v {
-			return entry{}, entryRef{}, false, false
+		if !bitmapHas(cur.ent.w1, syms[i]) {
+			return i, soMissing
 		}
-		return decodeEntry(w0, w1, w2), entryRef{slotRef{b, i}, v}, true, true
+	case kindJump:
+		for off := 0; ; off++ {
+			if i >= len(syms) {
+				return i, soRestart
+			}
+			if cur.ent.jumpSymbol(off) != syms[i] {
+				return i, soJumpMismatch
+			}
+			if off+1 >= int(cur.ent.jumpLen) {
+				break
+			}
+			i++
+		}
+	default:
+		// Reached a node that is no longer internal/jump: concurrent
+		// modification slipped past a version check window; restart.
+		return i, soRestart
 	}
-	if atomic.LoadUint64(&t.words[base]) != v {
-		return entry{}, entryRef{}, false, false
+	h := hashes[i+1]
+	e, ref, ok := t.findChild(h, cur.childMatch(syms[i]), cur.ref)
+	if !ok {
+		return i, soRestart
 	}
-	return entry{}, entryRef{}, false, true
+	*cur = pathNode{ent: e, ref: ref, depth: i + 1, hash: h}
+	if e.kind == kindLeaf {
+		return i + 1, soLeaf
+	}
+	return i + 1, soAdvanced
 }
 
-// childByColor is FindChild for jump nodes: the child is identified by its
-// own color (stored in the jump node) rather than by parent color, because a
-// jump node's hash cannot be peeled from its child's (§4.3). Colors are
-// unique among live entries with the same hash, so the match is exact.
-func (t *table) childByColor(h uint64, lastSym byte, color uint8, parent entryRef) (entry, entryRef, bool) {
-	b1, b2, tag := t.bucketsOf(h)
+// findChild fetches the entry with hash h matching m — the child of a node
+// read at parent — retrying across concurrent relocations (§5: "if there is
+// a concurrent relocation, the node will eventually be found in a later
+// iteration"). ok=false means the parent changed or the child never turned
+// up: the caller restarts.
+func (t *table) findChild(h uint64, m match, parent entryRef) (entry, entryRef, bool) {
 	for spin := 0; spin < 4096; spin++ {
-		if e, ref, found, ok := t.scanBucketRaw(b1, wantByColor(tag, true, lastSym, color), matchMaskByColor); ok && found {
-			if t.loadVersion(parent.bucket) != parent.ver {
-				return entry{}, entryRef{}, false
-			}
-			return e, ref, true
-		}
-		if e, ref, found, ok := t.scanBucketRaw(b2, wantByColor(tag, false, lastSym, color), matchMaskByColor); ok && found {
-			if t.loadVersion(parent.bucket) != parent.ver {
-				return entry{}, entryRef{}, false
-			}
-			return e, ref, true
-		}
+		e, ref, found, _ := t.probe(h, m)
 		if t.loadVersion(parent.bucket) != parent.ver {
 			return entry{}, entryRef{}, false
 		}
-	}
-	return entry{}, entryRef{}, false
-}
-
-// findChild locates the child of node cur for symbol s, where h is the
-// child's hash. It handles both regular and jump parents. ok=false means
-// concurrent conflict (restart).
-func (t *table) findChild(cur *pathNode, h uint64, s byte, jumpEnd bool) (entry, entryRef, bool) {
-	if cur.ent.kind == kindJump && jumpEnd {
-		return t.childByColor(h, s, cur.ent.childColor, cur.ref)
-	}
-	// Child of a regular node. The child may itself be a jump node with a
-	// valid parentColor; search both kinds.
-	e, ref, ok := t.searchChildOfRegular(h, s, cur.ref, cur.ent.color)
-	return e, ref, ok
-}
-
-// searchChildOfRegular is the paper's SearchByParent: it matches a live
-// entry with (tag, lastSym, parentColor) — regular, jump, or leaf — as the
-// child of an already-verified regular node. Entries whose parent is a jump
-// node carry no meaningful parentColor and are skipped (parentIsJump), which
-// makes the verification exact: among same-hash entries, only the true child
-// of the verified parent can match, because a trie node has at most one
-// child per symbol (§4.2).
-func (t *table) searchChildOfRegular(h uint64, lastSym byte, parent entryRef, parentColor uint8) (entry, entryRef, bool) {
-	b1, b2, tag := t.bucketsOf(h)
-	for spin := 0; spin < 4096; spin++ {
-		// The mask includes parentIsJump (must be 0): jump-node children
-		// carry no meaningful parentColor and must never match.
-		if e, ref, found, ok := t.scanBucketRaw(b1, wantByParent(tag, true, lastSym, parentColor), matchMaskByParent); ok && found {
-			if t.loadVersion(parent.bucket) != parent.ver {
-				return entry{}, entryRef{}, false
-			}
+		if found {
 			return e, ref, true
-		}
-		if e, ref, found, ok := t.scanBucketRaw(b2, wantByParent(tag, false, lastSym, parentColor), matchMaskByParent); ok && found {
-			if t.loadVersion(parent.bucket) != parent.ver {
-				return entry{}, entryRef{}, false
-			}
-			return e, ref, true
-		}
-		if t.loadVersion(parent.bucket) != parent.ver {
-			return entry{}, entryRef{}, false
 		}
 	}
 	return entry{}, entryRef{}, false
@@ -163,47 +114,28 @@ func (tr *Trie) searchPath(t *table, syms []byte, path []pathNode) ([]pathNode, 
 	if !ok {
 		return path, searchState{outcome: soRestart}
 	}
-	path = path[:0]
-	path = append(path, pathNode{ent: root, ref: rootRef, depth: 0, hash: 0})
-	cur := &path[0]
-	h := uint64(0)
-	for i := 0; i < len(syms); {
-		s := syms[i]
-		h = t.step(h, s)
-		switch cur.ent.kind {
-		case kindInternal:
-			if !bitmapHas(cur.ent.w1, s) {
-				return path, searchState{path: path, outcome: soMissing, idx: i}
-			}
-		case kindJump:
-			off := i - cur.depth
-			if cur.ent.jumpSymbol(off) != s {
-				return path, searchState{path: path, outcome: soJumpMismatch, idx: i, jumpOff: off}
-			}
-			if off+1 < int(cur.ent.jumpLen) {
-				i++
-				continue
-			}
-		default:
-			// Reached a node that is no longer internal/jump: concurrent
-			// modification slipped past a version check window; restart.
-			return path, searchState{outcome: soRestart}
-		}
-		jumpEnd := cur.ent.kind == kindJump
-		child, ref, ok := t.findChild(cur, h, s, jumpEnd)
-		if !ok {
-			return path, searchState{outcome: soRestart}
-		}
-		path = append(path, pathNode{ent: child, ref: ref, depth: i + 1, hash: h})
-		cur = &path[len(path)-1]
-		i++
-		if child.kind == kindLeaf {
+	var hbuf [97]uint64
+	hashes := t.ladder(hbuf[:0], syms)
+	path = append(path[:0], pathNode{ent: root, ref: rootRef})
+	for {
+		// Step a copy of the terminal node, so the path keeps the parent.
+		path = append(path, path[len(path)-1])
+		i, outcome := t.descend(&path[len(path)-1], syms, hashes)
+		switch outcome {
+		case soAdvanced:
+			continue
+		case soLeaf:
 			return path, searchState{path: path, outcome: soLeaf, idx: i}
+		case soRestart:
+			return path, searchState{outcome: soRestart}
 		}
+		path = path[:len(path)-1] // the step fetched nothing
+		st := searchState{path: path, outcome: outcome, idx: i}
+		if outcome == soJumpMismatch {
+			st.jumpOff = i - path[len(path)-1].depth
+		}
+		return path, st
 	}
-	// The terminator symbol cannot have children, so a complete consumption
-	// of syms without reaching a leaf indicates a torn read; restart.
-	return path, searchState{outcome: soRestart}
 }
 
 // tryFindRoot locates the root with bounded retries.
@@ -215,80 +147,6 @@ func (tr *Trie) tryFindRoot(t *table) (entry, entryRef, bool) {
 		}
 	}
 	return entry{}, entryRef{}, false
-}
-
-// Get looks up key k and returns its value. This is the paper's lookup: a
-// trie search (not a plain hash lookup, because the trie stores unique
-// prefixes) followed by a comparison against the full key stored in the
-// record (§4.4).
-func (tr *Trie) Get(k []byte) (uint64, bool) {
-	if len(k) > MaxKeyLen {
-		return 0, false
-	}
-	var sbuf [96]byte
-	syms := keys.AppendSymbols(sbuf[:0], k)
-	for {
-		t := tr.tbl.Load()
-		v, found, ok := tr.getOnce(t, syms, k)
-		if ok {
-			return v, found
-		}
-	}
-}
-
-// getOnce performs one lookup attempt. ok=false requests a restart.
-func (tr *Trie) getOnce(t *table, syms []byte, k []byte) (val uint64, found, ok bool) {
-	root, rootRef, rok := tr.tryFindRoot(t)
-	if !rok {
-		return 0, false, false
-	}
-	cur := pathNode{ent: root, ref: rootRef}
-	h := uint64(0)
-	for i := 0; i < len(syms); {
-		s := syms[i]
-		h = t.step(h, s)
-		switch cur.ent.kind {
-		case kindInternal:
-			if !bitmapHas(cur.ent.w1, s) {
-				return 0, false, true
-			}
-		case kindJump:
-			off := i - cur.depth
-			if cur.ent.jumpSymbol(off) != s {
-				return 0, false, true
-			}
-			if off+1 < int(cur.ent.jumpLen) {
-				i++
-				continue
-			}
-		default:
-			return 0, false, false
-		}
-		child, ref, cok := t.findChild(&cur, h, s, cur.ent.kind == kindJump)
-		if !cok {
-			return 0, false, false
-		}
-		cur = pathNode{ent: child, ref: ref, depth: i + 1, hash: h}
-		i++
-		if child.kind == kindLeaf {
-			if child.dirty {
-				return 0, false, false
-			}
-			rk := tr.recs.key(child.recIdx)
-			match := bytes.Equal(rk, k)
-			val := tr.recs.value(child.recIdx)
-			// Re-validate the leaf: if it was deleted meanwhile, its record
-			// slot may have been reused and the read above is stale.
-			if t.loadVersion(ref.bucket) != ref.ver {
-				return 0, false, false
-			}
-			if !match {
-				return 0, false, true
-			}
-			return val, true, true
-		}
-	}
-	return 0, false, false
 }
 
 // Contains reports whether k is present.

@@ -47,21 +47,75 @@ type entryRef struct {
 	ver uint64
 }
 
-// readSlot atomically snapshots one slot under the bucket seqlock.
-// ok is false if a writer intervened; the caller retries.
-func (t *table) readSlot(b uint64, slot int) (e entry, ver uint64, ok bool) {
-	base := b*bucketWords + 1 + uint64(slot)*3
+// loadEntry decodes slot i of bucket b with three atomic loads. Callers
+// validate the read against the bucket version, or read a table no one
+// writes.
+func (t *table) loadEntry(b uint64, i int) entry {
+	base := b*bucketWords + 1 + uint64(i)*3
+	return decodeEntry(atomic.LoadUint64(&t.words[base]),
+		atomic.LoadUint64(&t.words[base+1]), atomic.LoadUint64(&t.words[base+2]))
+}
+
+// matchSlot is the one slot matcher: the first slot of bucket b whose
+// word 0 holds a live entry matching m, or -1. It reads no version: callers
+// wrap it in the bucket's seqlock (scanBucket) or read a table no one
+// writes (the rebuilder's quiesced source and unpublished destination).
+func (t *table) matchSlot(b uint64, m match) int {
+	base := b*bucketWords + 1
+	for i := 0; i < entriesPerBucket; i++ {
+		if m.matches(atomic.LoadUint64(&t.words[base+uint64(i)*3])) {
+			return i
+		}
+	}
+	return -1
+}
+
+// scanBucket runs matchSlot under bucket b's seqlock and decodes only the
+// matching entry. ok=false means a writer held or changed the bucket;
+// found=false with ok=true means a consistent read found nothing.
+func (t *table) scanBucket(b uint64, m match) (e entry, ref entryRef, found, ok bool) {
 	v := t.loadVersion(b)
 	if v&1 != 0 {
-		return entry{}, 0, false
+		return entry{}, entryRef{}, false, false
 	}
-	w0 := atomic.LoadUint64(&t.words[base])
-	w1 := atomic.LoadUint64(&t.words[base+1])
-	w2 := atomic.LoadUint64(&t.words[base+2])
+	i := t.matchSlot(b, m)
+	if i >= 0 {
+		base := b*bucketWords + 1 + uint64(i)*3
+		e = decodeEntry(atomic.LoadUint64(&t.words[base]),
+			atomic.LoadUint64(&t.words[base+1]), atomic.LoadUint64(&t.words[base+2]))
+	}
 	if t.loadVersion(b) != v {
-		return entry{}, 0, false
+		return entry{}, entryRef{}, false, false
 	}
-	return decodeEntry(w0, w1, w2), v, true
+	if i < 0 {
+		return entry{}, entryRef{}, false, true
+	}
+	return e, entryRef{slotRef{b, i}, v}, true, true
+}
+
+// probe looks for the entry with hash h matching m in h's two candidate
+// buckets, each read under its seqlock. A hit is conclusive; a miss is
+// conclusive only when ok (every bucket read was consistent).
+func (t *table) probe(h uint64, m match) (e entry, ref entryRef, found, ok bool) {
+	b1, b2, tag := t.bucketsOf(h)
+	e, ref, found, ok1 := t.scanBucket(b1, m.in(tag, true))
+	if found {
+		return e, ref, true, true
+	}
+	e, ref, found, ok = t.scanBucket(b2, m.in(tag, false))
+	return e, ref, found, ok && ok1
+}
+
+// probeQuiesced is probe for a table no one writes concurrently.
+func (t *table) probeQuiesced(h uint64, m match) (entry, slotRef, bool) {
+	b1, b2, tag := t.bucketsOf(h)
+	if i := t.matchSlot(b1, m.in(tag, true)); i >= 0 {
+		return t.loadEntry(b1, i), slotRef{b1, i}, true
+	}
+	if i := t.matchSlot(b2, m.in(tag, false)); i >= 0 {
+		return t.loadEntry(b2, i), slotRef{b2, i}, true
+	}
+	return entry{}, slotRef{}, false
 }
 
 // bucketSnap is a consistent snapshot of one bucket.
@@ -70,8 +124,10 @@ type bucketSnap struct {
 	entries [entriesPerBucket]entry
 }
 
-// readBucket snapshots a whole bucket. Spins briefly while a writer holds the
-// seqlock.
+// readBucket snapshots a whole bucket, for the callers that need every
+// entry: writers' plan snapshots, the eviction search and Stats. Lookups use
+// scanBucket, which decodes only the match. Spins briefly while a writer
+// holds the seqlock.
 func (t *table) readBucket(b uint64) (bucketSnap, bool) {
 	for spin := 0; spin < 64; spin++ {
 		v := t.loadVersion(b)
@@ -81,14 +137,9 @@ func (t *table) readBucket(b uint64) (bucketSnap, bool) {
 			}
 			continue
 		}
-		var s bucketSnap
-		s.ver = v
-		base := b*bucketWords + 1
-		for i := 0; i < entriesPerBucket; i++ {
-			w0 := atomic.LoadUint64(&t.words[base+uint64(i)*3])
-			w1 := atomic.LoadUint64(&t.words[base+uint64(i)*3+1])
-			w2 := atomic.LoadUint64(&t.words[base+uint64(i)*3+2])
-			s.entries[i] = decodeEntry(w0, w1, w2)
+		s := bucketSnap{ver: v}
+		for i := range s.entries {
+			s.entries[i] = t.loadEntry(b, i)
 		}
 		if t.loadVersion(b) == v {
 			return s, true
@@ -129,18 +180,6 @@ func (t *table) unlock(b uint64, ver uint64, bump bool) {
 	} else {
 		atomic.StoreUint64(t.versionAddr(b), ver)
 	}
-}
-
-// findInBucket scans a bucket snapshot for a live entry with the given tag,
-// primacy and color. Returns the slot index or -1.
-func (s *bucketSnap) findByColor(tag uint8, primary bool, color uint8) int {
-	for i := range s.entries {
-		e := &s.entries[i]
-		if e.kind != kindEmpty && e.tag == tag && e.primary == primary && e.color == color {
-			return i
-		}
-	}
-	return -1
 }
 
 func (s *bucketSnap) freeSlot() int {

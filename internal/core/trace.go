@@ -10,57 +10,45 @@ import "repro/internal/keys"
 // are fetched per node, and jump nodes do not reduce the probe count (the
 // probes for symbols compressed into a jump node are issued anyway).
 func (tr *Trie) LookupLevels(k []byte) [][]uint64 {
-	t := tr.tbl.Load()
 	var sbuf [96]byte
+	var hbuf [97]uint64
 	syms := keys.AppendSymbols(sbuf[:0], k)
-
-	var levels [][]uint64
 	lineFor := func(b uint64) uint64 { return b * bucketWords * 8 / 64 }
-	addLevel := func(h uint64) {
-		b1, b2, _ := t.bucketsOf(h)
-		levels = append(levels, []uint64{lineFor(b1), lineFor(b2)})
-	}
-
-	// Walk the real structure to find the unique-prefix depth; every symbol
-	// consumed issues a probe level, even inside jump nodes (§4.7).
-	root, rootRef, ok := tr.tryFindRoot(t)
-	if !ok {
-		return nil
-	}
-	cur := pathNode{ent: root, ref: rootRef}
-	h := uint64(0)
-	for i := 0; i < len(syms); {
-		s := syms[i]
-		h = t.step(h, s)
-		addLevel(h)
-		switch cur.ent.kind {
-		case kindInternal:
-			if !bitmapHas(cur.ent.w1, s) {
+retry:
+	for {
+		t := tr.tbl.Load()
+		root, rootRef, ok := tr.tryFindRoot(t)
+		if !ok {
+			continue
+		}
+		hashes := t.ladder(hbuf[:0], syms)
+		var levels [][]uint64
+		// addLevels issues one probe level per symbol in [from, to), even
+		// inside jump nodes (§4.7).
+		addLevels := func(from, to int) {
+			for i := from; i < to; i++ {
+				b1, b2, _ := t.bucketsOf(hashes[i+1])
+				levels = append(levels, []uint64{lineFor(b1), lineFor(b2)})
+			}
+		}
+		cur := pathNode{ent: root, ref: rootRef}
+		for {
+			from := cur.depth
+			i, outcome := t.descend(&cur, syms, hashes)
+			switch outcome {
+			case soAdvanced:
+				addLevels(from, i)
+			case soLeaf:
+				addLevels(from, i)
+				// Final dependent access: the record (key comparison, §4.4).
+				return append(levels, []uint64{1<<40 + uint64(cur.ent.recIdx)*32/64})
+			case soMissing, soJumpMismatch:
+				// The probe for the mismatching symbol is issued too.
+				addLevels(from, i+1)
 				return levels
+			default:
+				continue retry
 			}
-		case kindJump:
-			off := i - cur.depth
-			if cur.ent.jumpSymbol(off) != s {
-				return levels
-			}
-			if off+1 < int(cur.ent.jumpLen) {
-				i++
-				continue
-			}
-		default:
-			return levels
-		}
-		child, ref, cok := t.findChild(&cur, h, s, cur.ent.kind == kindJump)
-		if !cok {
-			return levels
-		}
-		cur = pathNode{ent: child, ref: ref, depth: i + 1, hash: h}
-		i++
-		if child.kind == kindLeaf {
-			// Final dependent access: the record (key comparison, §4.4).
-			levels = append(levels, []uint64{1<<40 + uint64(child.recIdx)*32/64})
-			return levels
 		}
 	}
-	return levels
 }

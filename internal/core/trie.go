@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -130,35 +131,24 @@ func New(cfg Config) *Trie {
 // Len returns the number of keys currently stored.
 func (tr *Trie) Len() int { return int(tr.count.Load()) }
 
-// findRoot locates the root entry in table t.
-func (tr *Trie) findRoot(t *table) (entry, entryRef) {
-	for {
-		e, ref, ok := t.findByLocator(locator{0, uint8(tr.rootColor.Load())})
-		if ok {
-			return e, ref
-		}
-		// The root always exists; a miss means a racing relocation.
-	}
-}
-
-// findByLocator resolves a locator to its entry. ok is false only on
-// transient contention; the caller should retry (and revalidate whatever
-// produced the locator if the retry limit is hit — see followLocator).
+// findByLocator resolves a locator to its entry. ok is false on a
+// consistent miss or persistent contention; callers retry (and revalidate
+// whatever produced the locator — see followLocator). A locked bucket is
+// retried here with a spin-then-yield backoff: resize leaves every old-table
+// bucket locked for good, and at GOMAXPROCS=1 a reader that never yields
+// would hold the processor the resizer needs until the runtime preempts it.
 func (t *table) findByLocator(l locator) (entry, entryRef, bool) {
-	b1, b2, tag := t.bucketsOf(l.hash)
-	if s, ok := t.readBucket(b1); ok {
-		if i := s.findByColor(tag, true, l.color); i >= 0 {
-			return s.entries[i], entryRef{slotRef{b1, i}, s.ver}, true
+	for spin := 0; spin < 64; spin++ {
+		e, ref, found, ok := t.probe(l.hash, byLocator(l))
+		if found {
+			return e, ref, true
 		}
-	} else {
-		return entry{}, entryRef{}, false
-	}
-	if s, ok := t.readBucket(b2); ok {
-		if i := s.findByColor(tag, false, l.color); i >= 0 {
-			return s.entries[i], entryRef{slotRef{b2, i}, s.ver}, true
+		if ok {
+			break
 		}
-	} else {
-		return entry{}, entryRef{}, false
+		if spin > 16 {
+			runtime.Gosched()
+		}
 	}
 	return entry{}, entryRef{}, false
 }

@@ -33,7 +33,8 @@ func (s *Server) serve(conn net.Conn) {
 	defer conn.Close()
 	defer s.conns.Add(-1)
 	r := resp.NewReaderSize(conn, connBufSize)
-	w := resp.NewWriterSize(conn, connBufSize)
+	gate := &ackGate{conn: conn}
+	w := resp.NewWriterSize(gate, connBufSize)
 	cs := &connState{}
 	batch := make([][][]byte, 0, maxPipelineBatch)
 	for {
@@ -63,20 +64,25 @@ func (s *Server) serve(conn net.Conn) {
 			return
 		}
 		prevWrite := cs.lastWrite
+		// Group commit's ack barrier: the gate holds every reply byte of the
+		// batch — including what w pushes out on its own once a large reply
+		// fills its buffer — so parking here, after dispatch released every
+		// stripe and before the release that acknowledges, delays nothing
+		// but this connection while one fsync covers the whole pipeline.
+		// Async mode skips the wait: replies flush immediately and
+		// DurableLSN reports how far durability lags.
+		gate.held = s.fsyncPol == persist.FsyncGroup
 		s.dispatch(w, batch, cs)
-		// Group commit's ack barrier: the batch's replies are still only
-		// buffered in w, so parking here — after dispatch released every
-		// stripe, before the flush that acknowledges — delays nothing but
-		// this connection while one fsync covers the whole pipeline. Async
-		// mode skips the wait: replies flush immediately and DurableLSN
-		// reports how far durability lags.
-		if s.fsyncPol == persist.FsyncGroup && cs.lastWrite > prevWrite {
+		if gate.held && cs.lastWrite > prevWrite {
 			if cerr := s.wal.Commit(cs.lastWrite); cerr != nil {
-				// The buffered replies contain acks for writes that never
-				// became durable: drop the connection without flushing them.
+				// The held replies contain acks for writes that never
+				// became durable: drop the connection without sending them.
 				// A reset connection promises nothing; a flushed ":1" does.
 				return
 			}
+		}
+		if err := gate.release(); err != nil {
+			return
 		}
 		if err != nil { // tail read error: answer what we got, then drop
 			s.dropWithError(w, err)
@@ -86,6 +92,44 @@ func (s *Server) serve(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// ackGate sits between a connection's reply writer and the socket. While
+// held, whatever the writer sends (its buffer overflowed, or a command
+// flushed it) is staged in memory rather than written, so no byte of the
+// batch reaches the client before the group commit that covers it.
+type ackGate struct {
+	conn   io.Writer
+	held   bool
+	staged []byte
+}
+
+// maxStagedRetain caps the staging buffer kept between batches, so one
+// batch of large replies does not pin its memory for the connection's life.
+const maxStagedRetain = 64 << 10
+
+func (g *ackGate) Write(p []byte) (int, error) {
+	if g.held {
+		g.staged = append(g.staged, p...)
+		return len(p), nil
+	}
+	return g.conn.Write(p)
+}
+
+// release stops holding and sends what was staged, ahead of the bytes
+// still buffered in the reply writer.
+func (g *ackGate) release() error {
+	g.held = false
+	if len(g.staged) == 0 {
+		return nil
+	}
+	_, err := g.conn.Write(g.staged)
+	if cap(g.staged) > maxStagedRetain {
+		g.staged = nil
+	} else {
+		g.staged = g.staged[:0]
+	}
+	return err
 }
 
 // dispatch routes one drained batch: WAIT commands split it, everything

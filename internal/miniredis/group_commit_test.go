@@ -1,7 +1,9 @@
 package miniredis
 
 import (
+	"bufio"
 	"fmt"
+	"net"
 	"os"
 	"strings"
 	"sync"
@@ -58,6 +60,61 @@ func TestGroupCommitPipelineAck(t *testing.T) {
 			// logged record must already be durable.
 			if last, durable := srv.wal.LSN(), srv.wal.DurableLSN(); durable < last {
 				t.Fatalf("acked with DurableLSN=%d behind LSN=%d", durable, last)
+			}
+		})
+	}
+}
+
+// TestGroupCommitLargeReplyAck: a pipeline whose replies overflow the
+// connection's 16 KiB reply buffer must still withhold its write's ack until
+// the group fsync covers it. The ZADD is followed by a ~70 KB ZRANGEBYLEX
+// reply, which forces the reply writer to push bytes to the socket before
+// the batch finishes; none of them may leave before WAL.Commit returns.
+func TestGroupCommitLargeReplyAck(t *testing.T) {
+	for _, mode := range allExecModes {
+		t.Run(string(mode), func(t *testing.T) {
+			dir := t.TempDir()
+			srv, cl := newServerWithPersist(t, dir, mode, PersistOptions{Policy: persist.FsyncGroup})
+			const members = 5000
+			cmds := make([][][]byte, members)
+			for i := range cmds {
+				cmds[i] = [][]byte{[]byte("ZADD"), []byte("big"), []byte(fmt.Sprintf("m%07d", i)), []byte("1")}
+			}
+			if out, err := cl.Pipeline(cmds); err != nil || len(out) != members {
+				t.Fatalf("load: %d replies, %v", len(out), err)
+			}
+			cl.Close()
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			// A wide coalescing window: an ack that skips the barrier
+			// arrives long before any fsync could cover the ZADD.
+			srv, cl = newServerWithPersist(t, dir, mode, PersistOptions{
+				Policy:        persist.FsyncGroup,
+				GroupMaxDelay: 1500 * time.Millisecond,
+			})
+			defer srv.Close()
+			defer cl.Close()
+			conn, err := net.Dial("tcp", srv.ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(30 * time.Second))
+			if _, err := conn.Write([]byte("ZADD s a 1\r\nZRANGEBYLEX big m 5000\r\n")); err != nil {
+				t.Fatal(err)
+			}
+			br := bufio.NewReader(conn)
+			line, err := br.ReadString('\n')
+			if err != nil || line != ":1\r\n" {
+				t.Fatalf("ZADD reply %q, %v", line, err)
+			}
+			if last, durable := srv.wal.LSN(), srv.wal.DurableLSN(); durable < last {
+				t.Fatalf("acked with DurableLSN=%d behind LSN=%d", durable, last)
+			}
+			if line, err = br.ReadString('\n'); err != nil || line != fmt.Sprintf("*%d\r\n", members) {
+				t.Fatalf("ZRANGEBYLEX header %q, %v", line, err)
 			}
 		})
 	}
