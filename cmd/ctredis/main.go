@@ -43,7 +43,7 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:6380", "listen address")
 	engine := flag.String("engine", "CuckooTrie", "sorted-set engine: CuckooTrie|ARTOLC|HOT|Wormhole|STX|SkipList")
-	capacity := flag.Int("capacity", 1<<20, "expected keys per sorted set")
+	capacity := flag.Int("capacity", 1<<20, "expected keys per preloaded or recovered sorted set (a set created by ZADD starts small and grows)")
 	shards := flag.Int("shards", 1, "shards per sorted set (>1 enables scatter-gather across cores)")
 	router := flag.String("router", "hash", "key→shard routing for sharded sets: hash|range|sampled (range/sampled keep scans single-shard when possible; sampled derives balanced shard boundaries from the preload stream)")
 	preload := flag.Int("preload", 0, "bulk-load N random 8-byte keys into set 'bench' before serving (partitioned load for sharded sets; trains the sampled router's boundaries)")

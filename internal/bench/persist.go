@@ -286,6 +286,7 @@ func FigPersist(w io.Writer, o Options) {
 	fmt.Fprintf(w, "(wal-always measured over ≤%d ops: one fsync per op is the cost under test)\n", walAlwaysOpsCap)
 	fmt.Fprintf(w, "(wal-group/wal-async: %d concurrent writers, %d-deep pipelines, full op count — the coalesced fsync is the win under test)\n",
 		walGroupWriters, walGroupPipeline)
+	fmt.Fprintf(w, "(wal-group: the writers append under one mutex, so one is nearly always mid-append rather than parked — batches wait for the GroupMaxDelay cap, not for an early all-parked fsync)\n")
 	fmt.Fprintf(w, "(latency: set-mem/wal-no/everysec/always per op; wal-group/wal-async per %d-op pipeline incl. the Commit park)\n",
 		walGroupPipeline)
 }

@@ -7,32 +7,48 @@
 // with independent (parallelizable) memory reads.
 package core
 
-import "math/rand"
+import (
+	"math/bits"
+	"math/rand"
+)
 
 // Table geometry constants. The paper configures t=16 tags and four-entry
-// buckets (§4.2, Figure 4) and R=2^5..2^6 for the peelable hash; we use R=64
-// so that data symbols (6 bits after the terminator shift) fit.
+// buckets (§4.2, Figure 4) and an alphabet of R=2^5..2^6 symbols for the
+// peelable hash; we use R=64 so that data symbols (6 bits after the
+// terminator shift) fit.
 const (
 	entriesPerBucket = 4
 	tagCount         = 16 // t: number of tag values; h mod t is stored per entry
 	tagShift         = 4  // log2(tagCount)
-	hashR            = 64 // R in the peelable hash; must exceed the max symbol
+	hashR            = 64 // R: the symbol alphabet size; must exceed the max symbol
 	numColors        = 8  // 2B colors for B-entry buckets (§4.2)
 	maxJumpSymbols   = 9  // symbols packed per jump node (6 bits each, 54 bits)
 )
 
-// hasher computes the paper's peelable hash over symbol sequences for a table
-// with S buckets. The hash domain is [0, S·t). Peelability — the property
-// that h(x) is recoverable from h(x·c) and c — is what lets entry
+// hasher computes a peelable hash (§4.2) over symbol sequences for a table
+// with S buckets. The hash domain is [0, S·t) = [0, 2^k). Peelability — the
+// property that h(x) is recoverable from h(x·c) and c — is what lets entry
 // verification work without stored keys; the trie never *computes* the peel
-// function, it only relies on its existence (§4.2, footnote 5).
+// function, it only relies on its existence (§4.2, footnote 5). Any step
+// that is a bijection of [0, 2^k) for each symbol is peelable:
 //
 //	h(ε)   = 0
-//	h(x·c) = ⌊(h(x)⊕c)/R⌋ + (S·t/R)·((h(x)⊕c) mod R)
+//	v      = h(x) ⊕ π(c)
+//	v'     = v ⊕ ⌊v / 2^⌊k/2⌋⌋
+//	h(x·c) = (v' · φ) mod 2^k
+//
+// with π the per-table symbol permutation (symTab) and φ an odd 64-bit
+// constant: the XOR-shift folds the high half into the low half, and the
+// odd multiplier carries every low bit into all higher ones, so each
+// symbol reaches every bit of the name's hash. (The paper's
+// ⌊(h⊕c)/R⌋ + (S·t/R)·((h⊕c) mod R) is a 6-bit rotate after the XOR; it
+// leaves whole bit windows of a depth-d name's hash fixed, and the table
+// fills only part of its buckets before the eviction search gives up.)
 type hasher struct {
-	buckets uint64 // S; power of two, ≥ 64 so that R | S·t
+	buckets uint64 // S; power of two, ≥ 64
 	mask    uint64 // S-1
-	mult    uint64 // S·t/R = S/4
+	domMask uint64 // S·t-1
+	shift   uint   // ⌊k/2⌋ for S·t = 2^k
 	kickTab [tagCount]uint64
 	// symTab is a seeded permutation of the symbol alphabet, applied before
 	// the peelable mix. Without it the hash depends only on the geometry
@@ -50,7 +66,8 @@ func newHasher(buckets uint64, seed int64) hasher {
 	if buckets&(buckets-1) != 0 || buckets < hashR {
 		panic("core: bucket count must be a power of two >= 64")
 	}
-	h := hasher{buckets: buckets, mask: buckets - 1, mult: buckets * tagCount / hashR}
+	h := hasher{buckets: buckets, mask: buckets - 1, domMask: buckets*tagCount - 1}
+	h.shift = uint(bits.TrailingZeros64(buckets*tagCount)) / 2
 	rng := rand.New(rand.NewSource(seed))
 	for i := range h.kickTab {
 		// f: [0,t) -> [0,S): random bucket offsets for the alternate bucket.
@@ -70,10 +87,14 @@ func newHasher(buckets uint64, seed int64) hasher {
 	return h
 }
 
+// phi is the step's odd multiplier (2^64 / the golden ratio).
+const phi = 0x9E3779B97F4A7C15
+
 // step extends hash h with one symbol. h must be in [0, S·t).
 func (hs *hasher) step(h uint64, sym byte) uint64 {
 	v := h ^ uint64(hs.symTab[sym])
-	return v/hashR + hs.mult*(v%hashR)
+	v ^= v >> hs.shift
+	return v * phi & hs.domMask
 }
 
 // hashKey hashes the first n symbols of the symbol sequence syms.

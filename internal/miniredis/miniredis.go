@@ -122,13 +122,13 @@ func (ks *keyspace) stripeFor(name string) *stripe {
 	return &ks.stripes[ks.stripeIdx(name)]
 }
 
-// get returns the named set, creating it with mk on first use. Only writes
-// may create sets; reads go through lookup.
-func (ks *keyspace) get(name string, mk func() index.Index) index.Index {
+// get returns the named set, creating it with mk(hint) on first use. Only
+// writes may create sets; reads go through lookup.
+func (ks *keyspace) get(name string, mk EngineFactory, hint int) index.Index {
 	st := ks.stripeFor(name)
 	ix, ok := st.sets[name]
 	if !ok {
-		ix = mk()
+		ix = mk(hint)
 		st.sets[name] = ix
 	}
 	return ix
@@ -202,11 +202,18 @@ func (ks *keyspace) snapshotSets() (sets []persist.SetSnapshot, live bool) {
 	return sets, live
 }
 
+// newSetHint is the capacity hint of a set that a write creates. A ZADD to a
+// new name cannot know how large the set will grow, so its engine starts
+// small and grows (AutoResize, for the Cuckoo Trie); sizing it by the
+// server-wide hint would let one client exhaust memory by writing one
+// member each to many names. The server hint sizes only the loads that
+// know their size: Preload and recovery.
+const newSetHint = 64
+
 // Server is the mini-Redis server.
 type Server struct {
-	create   func() index.Index // factory bound to the capacity hint once
 	factory  EngineFactory
-	capacity int
+	capacity int // hint for Preload- and recovery-created sets
 	ks       *keyspace
 	ln       net.Listener
 	wg       sync.WaitGroup
@@ -251,7 +258,9 @@ type Server struct {
 // with an execution mode (see ExecMode in executor.go). The mode only
 // picks the keyspace stripe count: ExecSerial gets one stripe, so every
 // set command shares one lock; ExecStripedExec gets max(8, GOMAXPROCS). An
-// unknown mode falls back to ExecSerial.
+// unknown mode falls back to ExecSerial. capacityHint sizes the sets that
+// Preload and recovery create; a set created by a write starts small (see
+// newSetHint).
 func NewServerExec(factory EngineFactory, capacityHint int, mode ExecMode) *Server {
 	stripes := 1
 	if mode == ExecStripedExec {
@@ -260,7 +269,6 @@ func NewServerExec(factory EngineFactory, capacityHint int, mode ExecMode) *Serv
 		mode = ExecSerial
 	}
 	return &Server{
-		create:   func() index.Index { return factory(capacityHint) },
 		factory:  factory,
 		capacity: capacityHint,
 		ks:       newKeyspace(stripes),
@@ -302,8 +310,10 @@ type PersistOptions struct {
 	SnapshotEvery int   // logged writes between automatic BGSAVEs; 0 disables
 	SegmentBytes  int64 // WAL segment rotation threshold; 0 = persist default
 	FanoutBytes   int   // replication fan-out ring bound; 0 = repl default
-	// GroupMaxDelay is the group-commit coalescing window under
-	// FsyncGroup/FsyncAsync; 0 = persist default (2ms), negative = none.
+	// GroupMaxDelay caps the group-commit coalescing window under
+	// FsyncGroup/FsyncAsync (the syncer fsyncs earlier once every buffered
+	// record's writer has parked); 0 = persist default (2ms), negative =
+	// none.
 	GroupMaxDelay time.Duration
 	// AutoRewriteBytes caps the WAL tail's estimated replay cost: once the
 	// record bytes appended since the last snapshot exceed it, a background
@@ -497,7 +507,7 @@ func (s *Server) Preload(set string, keys [][]byte, vals []uint64) (int, error) 
 	defer s.bulkMu.RUnlock()
 	i := s.ks.stripeIdx(set)
 	s.ks.stripes[i].mu.Lock()
-	n, err := index.BulkLoad(s.set(set), keys, vals)
+	n, err := index.BulkLoad(s.ks.get(set, s.factory, s.capacity), keys, vals)
 	s.ks.stripes[i].mu.Unlock()
 	if err == nil && s.repl != nil {
 		// Preloaded keys bypass the WAL, so no replica state from before
@@ -573,10 +583,10 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// set returns the named set, creating it on first use; the caller holds
-// its stripe.
+// set returns the named set, creating it small on first use (see
+// newSetHint); the caller holds its stripe.
 func (s *Server) set(key string) index.Index {
-	return s.ks.get(key, s.create)
+	return s.ks.get(key, s.factory, newSetHint)
 }
 
 // Client is a minimal pipelining RESP client for the benchmarks.

@@ -734,6 +734,57 @@ func TestPreload(t *testing.T) {
 	}
 }
 
+// TestNewSetSizing: the server-wide capacity hint sizes only the sets whose
+// load knows its size. A set created by a ZADD to a new name gets a small
+// hint and grows, so writing one member each to many names cannot build
+// many full-sized engines; Preload keeps the server hint.
+func TestNewSetSizing(t *testing.T) {
+	const serverHint = 1 << 20
+	var mu sync.Mutex
+	var hints []int
+	factory := func(c int) index.Index {
+		mu.Lock()
+		hints = append(hints, c)
+		mu.Unlock()
+		return skiplist.New(1)
+	}
+	srv := NewServerExec(factory, serverHint, ExecStripedExec)
+	if _, err := srv.Preload("warm", [][]byte{[]byte("k")}, []uint64{1}); err != nil {
+		t.Fatal(err)
+	}
+	if len(hints) != 1 || hints[0] != serverHint {
+		t.Fatalf("Preload built engines with hints %v, want [%d]", hints, serverHint)
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	const sets = 20
+	cmds := make([][][]byte, sets)
+	for i := range cmds {
+		cmds[i] = [][]byte{[]byte("ZADD"), []byte(fmt.Sprintf("set%02d", i)), []byte("m"), []byte("1")}
+	}
+	if out, err := cl.Pipeline(cmds); err != nil || len(out) != sets {
+		t.Fatalf("ZADD pipeline: %d replies, %v", len(out), err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(hints) != 1+sets {
+		t.Fatalf("%d engines built, want %d", len(hints), 1+sets)
+	}
+	for i, h := range hints[1:] {
+		if h > 1024 {
+			t.Errorf("ZADD-created set #%d built with hint %d, want a small hint", i, h)
+		}
+	}
+}
+
 func TestErrors(t *testing.T) {
 	_, cl := newTestServer(t)
 	if r, _ := cl.Do([]byte("NOPE")); fmt.Sprint(r) == "" {

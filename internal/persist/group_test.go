@@ -61,18 +61,19 @@ func TestGroupCommitMultiWriter(t *testing.T) {
 
 // TestGroupCommitStickyErrorFanOut: an injected fsync failure must fail
 // EVERY parked writer — not just the next Append — and poison the WAL for
-// everything after it.
+// everything after it. The failing fsync is held on a gate until all
+// writers have appended, so they are parked on the same batch when the
+// failure lands.
 func TestGroupCommitStickyErrorFanOut(t *testing.T) {
 	dir := t.TempDir()
 	injected := errors.New("injected fsync failure")
 	var fail atomic.Bool
+	release := make(chan struct{})
 	wal, err := persist.OpenWAL(dir, persist.WALOptions{
 		Policy: persist.FsyncGroup,
-		// A long coalescing window so all writers are parked on the same
-		// batch before the poisoned fsync runs.
-		GroupMaxDelay: 100 * time.Millisecond,
 		FsyncFn: func(f *os.File) error {
 			if fail.Load() {
+				<-release
 				return injected
 			}
 			return f.Sync()
@@ -97,6 +98,15 @@ func TestGroupCommitStickyErrorFanOut(t *testing.T) {
 			errs[g] = wal.Commit(lsn)
 		}(g)
 	}
+	// The first batch's fsync waits at the gate, and fails only after every
+	// writer has appended behind it and had time to park.
+	for deadline := time.Now().Add(10 * time.Second); wal.LSN() < writers; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d writers appended", wal.LSN(), writers)
+		}
+	}
+	time.Sleep(10 * time.Millisecond)
+	close(release)
 	wg.Wait()
 	for g, err := range errs {
 		if !errors.Is(err, injected) {
@@ -259,28 +269,116 @@ func TestCommitInlineUnderNonGroupPolicies(t *testing.T) {
 }
 
 // TestAsyncDurableWatermark: FsyncAsync promises the watermark catches up
-// on its own — no Commit, no Sync — within a few group cycles.
+// on its own — no Commit, no Sync — within a few group cycles. Its callers
+// do not park, so GroupMaxDelay stays its pacing: the batch is fsynced
+// once the window closes, not before.
 func TestAsyncDurableWatermark(t *testing.T) {
+	const maxDelay = 300 * time.Millisecond
 	dir := t.TempDir()
-	wal, err := persist.OpenWAL(dir, persist.WALOptions{Policy: persist.FsyncAsync})
+	wal, err := persist.OpenWAL(dir, persist.WALOptions{Policy: persist.FsyncAsync, GroupMaxDelay: maxDelay})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wal.Close()
+	start := time.Now()
 	var last uint64
 	for i := 0; i < 20; i++ {
 		if last, err = wal.Append(persist.OpSet, "", u64key(uint64(i)), uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
 	for wal.DurableLSN() < last {
-		if time.Now().After(deadline) {
+		if time.Since(start) > maxDelay+5*time.Second {
 			t.Fatalf("DurableLSN stuck at %d, want ≥ %d", wal.DurableLSN(), last)
 		}
 		time.Sleep(time.Millisecond)
 	}
+	if took := time.Since(start); took < maxDelay {
+		t.Fatalf("async batch fsynced after %v, before its %v window closed", took, maxDelay)
+	}
 	if got := wal.AppendedBytes(); got <= 0 {
 		t.Fatalf("AppendedBytes = %d, want > 0", got)
+	}
+}
+
+// TestGroupCommitLoneWriter: GroupMaxDelay is a cap, not a fixed sleep. A
+// lone writer that has parked is the whole batch, so its Commit returns
+// after one fsync, well inside a 1 s cap.
+func TestGroupCommitLoneWriter(t *testing.T) {
+	const maxDelay = time.Second
+	wal, err := persist.OpenWAL(t.TempDir(), persist.WALOptions{Policy: persist.FsyncGroup, GroupMaxDelay: maxDelay})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		lsn, err := wal.Append(persist.OpSet, "", u64key(uint64(i)), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wal.Commit(lsn); err != nil {
+			t.Fatal(err)
+		}
+		if took := time.Since(start); took > maxDelay/4 {
+			t.Fatalf("lone writer's Commit #%d took %v against a %v cap: the syncer waited for writers that do not exist", i, took, maxDelay)
+		}
+	}
+}
+
+// TestGroupCommitWaitsForUnparkedWriter: the batch stays open while an
+// appended record's writer has not parked. Writer A parks while writer B
+// has appended but not parked: nothing is fsynced until B parks, and then
+// one fsync covers both.
+func TestGroupCommitWaitsForUnparkedWriter(t *testing.T) {
+	const maxDelay = 5 * time.Second
+	var fsyncs atomic.Int64
+	wal, err := persist.OpenWAL(t.TempDir(), persist.WALOptions{
+		Policy:        persist.FsyncGroup,
+		GroupMaxDelay: maxDelay,
+		FsyncFn: func(f *os.File) error {
+			fsyncs.Add(1)
+			return f.Sync()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	start := time.Now()
+	before := fsyncs.Load() // the segment header's fsync at open
+	lsnA, err := wal.Append(persist.OpSet, "", []byte("a"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsnB, err := wal.Append(persist.OpSet, "", []byte("b"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doneA := make(chan error, 1)
+	go func() { doneA <- wal.Commit(lsnA) }()
+	time.Sleep(50 * time.Millisecond)
+	select {
+	case err := <-doneA:
+		t.Fatalf("A's Commit returned (%v) while B had not parked", err)
+	default:
+	}
+	if n := fsyncs.Load() - before; n != 0 {
+		t.Fatalf("%d fsync(s) before B parked, want 0", n)
+	}
+	if err := wal.Commit(lsnB); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-doneA; err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > maxDelay/2 {
+		t.Fatalf("commits took %v: the syncer waited for the %v cap after both writers parked", took, maxDelay)
+	}
+	if n := fsyncs.Load() - before; n != 1 {
+		t.Fatalf("%d fsyncs covered A and B, want 1", n)
+	}
+	if d := wal.DurableLSN(); d < lsnB {
+		t.Fatalf("DurableLSN = %d, want ≥ %d", d, lsnB)
 	}
 }

@@ -60,8 +60,10 @@ const (
 	// record's LSN via WAL.Commit and are woken once the durable watermark
 	// passes it — one fsync acknowledges a whole pipeline of writes. An
 	// acknowledged (Commit-returned) write is never lost; the cost per
-	// writer is at most one group cycle (GroupMaxDelay + one fsync), not
-	// one fsync per operation.
+	// writer is at most one group cycle, not one fsync per operation. A
+	// cycle fsyncs as soon as every buffered record's writer has parked,
+	// so GroupMaxDelay is only its cap: a cycle is one fsync when the
+	// writers park promptly, and at most GroupMaxDelay + one fsync.
 	FsyncGroup
 	// FsyncAsync is group commit without the wait: the same syncer batches
 	// fsyncs continuously, but callers are expected NOT to park on Commit —

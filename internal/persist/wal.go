@@ -51,11 +51,15 @@ func parseWalName(name string) (uint64, bool) {
 	return lsn, err == nil
 }
 
-// DefaultGroupMaxDelay is the group syncer's coalescing window: after the
-// first unsynced append is noticed, the syncer waits this long for more
-// writers to join the batch before issuing the flush+fsync. Small enough
-// that a parked writer's latency stays in the low milliseconds, large
-// enough that a pipelined burst lands in one fsync.
+// DefaultGroupMaxDelay caps the group syncer's coalescing window: after the
+// first unsynced append is noticed, the syncer waits for the batch's
+// writers to park in Commit, but never longer than this, before issuing
+// the flush+fsync. Once every appended record has a parked writer the
+// fsync starts at once, so a lone writer pays one fsync, not the cap. The
+// cap binds only while writers keep appending without parking (and always
+// under FsyncAsync, whose callers do not park); it is small enough that a
+// parked writer's latency stays in the low milliseconds, large enough that
+// a pipelined burst lands in one fsync.
 const DefaultGroupMaxDelay = 2 * time.Millisecond
 
 // WALOptions configure OpenWAL. The zero value means FsyncEverySec and
@@ -72,10 +76,12 @@ type WALOptions struct {
 	// reuse LSNs the snapshot already covers — acknowledged post-restart
 	// writes would be silently skipped by the next recovery's LSN filter.
 	FloorLSN uint64
-	// GroupMaxDelay bounds how long the FsyncGroup/FsyncAsync syncer waits
-	// to coalesce a batch before fsyncing: 0 means DefaultGroupMaxDelay,
-	// negative means no artificial delay (the fsync duration itself is the
-	// only batching window). Ignored under other policies.
+	// GroupMaxDelay caps how long the FsyncGroup/FsyncAsync syncer waits to
+	// coalesce a batch before fsyncing; it fsyncs earlier, as soon as every
+	// appended record's writer has parked in Commit. 0 means
+	// DefaultGroupMaxDelay, negative means no artificial delay (the fsync
+	// duration itself is the only batching window). Ignored under other
+	// policies.
 	GroupMaxDelay time.Duration
 	// FsyncFn overrides how a segment file reaches stable storage (default
 	// (*os.File).Sync). A seam for fault injection in tests and for
@@ -119,8 +125,15 @@ type WAL struct {
 	stop chan struct{} // everysec flusher shutdown
 	done chan struct{}
 
-	syncCond   *sync.Cond    // wakes the group syncer when unsynced appends exist
+	// syncCond (on mu) wakes the group syncer: an Append to a fully durable
+	// log, the park that completes a batch, the cap timer, and Close.
+	syncCond   *sync.Cond
 	syncerDone chan struct{} // closed when the group syncer exits
+	// parkedMax is the highest LSN a Commit waiter has parked on. When it
+	// reaches the last assigned LSN, every buffered record has a writer
+	// waiting for it and nothing more will join the batch: the syncer stops
+	// coalescing and fsyncs.
+	parkedMax uint64
 }
 
 // fsync pushes f to stable storage through the configured seam, recording
@@ -299,10 +312,14 @@ func (w *WAL) Append(op Op, set string, key []byte, val uint64) (uint64, error) 
 		}
 	case FsyncGroup, FsyncAsync:
 		// The record is only buffered; wake the group syncer and return.
-		// Rotation is the syncer's job under these policies — it may be
-		// fsyncing w.f outside the mutex right now, so nothing else is
-		// allowed to close the segment file out from under it.
-		w.syncCond.Signal()
+		// Only an append to a fully durable log can find it idle; while a
+		// batch is filling, an append never completes it. Rotation is the
+		// syncer's job under these policies — it may be fsyncing w.f outside
+		// the mutex right now, so nothing else is allowed to close the
+		// segment file out from under it.
+		if lsn-1 == w.durable {
+			w.syncCond.Signal()
+		}
 		return lsn, nil
 	}
 	if w.written >= w.opts.SegmentBytes {
@@ -390,6 +407,14 @@ func (w *WAL) Commit(lsn uint64) error {
 		// costs nothing and would drown the park distribution in zeros.
 		start := time.Now()
 		defer func() { w.met.CommitWait.RecordDuration(int64(time.Since(start))) }()
+		if w.syncCond != nil && lsn > w.parkedMax {
+			w.parkedMax = lsn
+			if lsn == w.next-1 {
+				// Every buffered record now has a parked writer: the
+				// batch is complete, so the syncer need not wait for more.
+				w.syncCond.Signal()
+			}
+		}
 	}
 	for w.durable < lsn {
 		if w.syncErr != nil {
@@ -505,16 +530,21 @@ func (w *WAL) flushLoop() {
 // groupSyncLoop is the FsyncGroup/FsyncAsync syncer: one goroutine that
 // coalesces everything buffered since the last sync into a single
 // flush+fsync, advances the durable watermark, and wakes every Commit
-// waiter at or below it. The fsync itself runs OUTSIDE the WAL mutex
-// against a captured *os.File, so appends keep buffering (and the fan-out
-// keeps publishing) while the disk works — the fsync duration is itself a
-// batching window. The syncer owns rotation under these policies, which is
-// what makes the captured file safe: nothing else closes w.f while the
-// syncer lives. It must never take locks outside the WAL — in particular
-// no miniredis stripe/write mutexes — since writers park on its progress
-// while holding none (ctvet's lockorder analyzer enforces the protocol).
+// waiter at or below it. A batch fills while some buffered record's writer
+// has not parked yet, and for at most GroupMaxDelay; once every record up
+// to the last LSN has a parked writer (parkedMax), waiting longer would
+// only delay them, so the fsync starts at once. The fsync itself runs
+// OUTSIDE the WAL mutex against a captured *os.File, so appends keep
+// buffering (and the fan-out keeps publishing) while the disk works — the
+// fsync duration is itself a batching window. The syncer owns rotation
+// under these policies, which is what makes the captured file safe:
+// nothing else closes w.f while the syncer lives. It must never take locks
+// outside the WAL — in particular no miniredis stripe/write mutexes — since
+// writers park on its progress while holding none (ctvet's lockorder
+// analyzer enforces the protocol).
 func (w *WAL) groupSyncLoop() {
 	defer close(w.syncerDone)
+	var capTimer *time.Timer // wakes a filling batch at GroupMaxDelay
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for {
@@ -529,11 +559,20 @@ func (w *WAL) groupSyncLoop() {
 			return // closed and fully durable: Close finishes up
 		}
 		if w.opts.GroupMaxDelay > 0 && !w.closed {
-			// Coalescing window: let more writers join this batch. Skipped
-			// when closing so shutdown drains at full speed.
-			w.mu.Unlock()
-			time.Sleep(w.opts.GroupMaxDelay)
-			w.mu.Lock()
+			// Coalescing window: let the batch's writers park, up to the
+			// cap. Skipped when closing so shutdown drains at full speed. A
+			// stale timer firing from an earlier batch is only a spurious
+			// wake-up: the deadline, not the timer, ends the window.
+			deadline := time.Now().Add(w.opts.GroupMaxDelay)
+			if capTimer == nil {
+				capTimer = time.AfterFunc(w.opts.GroupMaxDelay, w.wakeSyncer)
+			} else {
+				capTimer.Reset(w.opts.GroupMaxDelay)
+			}
+			for w.parkedMax < w.next-1 && !w.closed && time.Now().Before(deadline) {
+				w.syncCond.Wait()
+			}
+			capTimer.Stop()
 		}
 		if err := w.bw.Flush(); err != nil {
 			w.failLocked(err)
@@ -565,6 +604,14 @@ func (w *WAL) groupSyncLoop() {
 			}
 		}
 	}
+}
+
+// wakeSyncer is the cap timer's callback. It signals under the mutex so the
+// wake-up cannot fall between the syncer's check and its Wait.
+func (w *WAL) wakeSyncer() {
+	w.mu.Lock()
+	w.syncCond.Signal()
+	w.mu.Unlock()
 }
 
 // failLocked records the sticky sync error and fails every parked writer.
